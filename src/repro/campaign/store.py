@@ -596,12 +596,14 @@ class ResultStore:
 #
 # Trial records are shared across every job that maps to the same campaign
 # grid (that is the whole point of content addressing), but each service
-# job also owns artifacts that must NOT be shared — its JobState snapshot
-# and the manifest it rendered.  Those live under a job-scoped prefix
+# job also owns artifacts that must NOT be shared — the manifest it
+# rendered and its result summary.  Those live under a job-scoped prefix
 # beside the campaign directories:
 #
-#     <root>/jobs/<job_id>/job.json
 #     <root>/jobs/<job_id>/manifest.json
+#     <root>/jobs/<job_id>/result.txt
+#
+# The job's state itself lives in the service journal (``<root>/journal/``).
 
 JOBS_PREFIX = "jobs"
 

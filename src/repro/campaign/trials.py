@@ -18,10 +18,10 @@ kernel image bytes, keyed by image seed and layout) and
 :data:`repro.secure.boot._DIGEST_CACHE` (trusted-boot digest tables,
 keyed by image fingerprint and partition table).  On fork-based pools the
 supervisor's warm caches are inherited by every worker for free; spawned
-workers warm their own on the first trial.  Each cache hit still verifies
-a sentinel span against the live image, and setting ``REPRO_NO_BOOT_CACHE``
-disables the digest cache entirely — results are byte-identical either
-way, only wall time changes.
+workers warm their own on the first trial.  Each digest-cache hit still
+re-hashes the first and last spans against the live image and falls back
+to the full recompute on a mismatch, so results are byte-identical to a
+cold build; only wall time changes.
 """
 
 from __future__ import annotations

@@ -629,44 +629,6 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import check_determinism, run_bench
-
-    results = run_bench(
-        progress=lambda msg: print(msg, file=sys.stderr),
-        planner=args.planner,
-        planner_seeds=args.planner_seeds,
-        planner_ci_width=args.planner_ci_width,
-    )
-    rendered = json.dumps(results, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-        print(f"bench results written to {args.out}", file=sys.stderr)
-    else:
-        print(rendered, end="")
-    engine = results["event_engine"]
-    scans = results["scan_coalescing"]
-    print(
-        f"event engine: {engine['events_per_sec']:,} ev/s "
-        f"({engine['speedup']}x vs seed-style reference); "
-        f"fused scans: {scans['speedup']}x, timeline identical: "
-        f"{scans['timeline_identical']}",
-        file=sys.stderr,
-    )
-    if args.check:
-        problems = check_determinism(results, args.check)
-        if problems:
-            print("deterministic regression detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        print(f"determinism block matches {args.check}", file=sys.stderr)
-    return 0
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import boot_rich_os, build_machine, install_satin, juno_r1_config
     from repro.hw.world import World
@@ -932,26 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--report", metavar="FILE",
                        help="write the gc report JSON here (CI artifact)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the performance benchmark suite (BENCH_*.json trajectory)",
-    )
-    bench.add_argument("-o", "--out", metavar="FILE",
-                       help="write the full bench JSON here (e.g. BENCH_7.json)")
-    bench.add_argument("--check", metavar="FILE",
-                       help="compare the deterministic block against a pinned "
-                            "JSON file; non-zero exit on drift")
-    bench.add_argument("--planner", action="store_true",
-                       help="also benchmark adaptive dispatch: fixed-budget "
-                            "E9 campaign vs --adaptive at the same CI target")
-    bench.add_argument("--planner-seeds", type=int, default=64, metavar="N",
-                       help="fixed-budget seed count the adaptive run is "
-                            "measured against (default 64)")
-    bench.add_argument("--planner-ci-width", type=float, default=75.0,
-                       metavar="W",
-                       help="target 95%% CI width for the planner benchmark "
-                            "(default 75, on E9's avg area gap)")
-
     serve = sub.add_parser(
         "serve",
         help="run the HTTP/JSON campaign job service",
@@ -1091,7 +1033,6 @@ _COMMANDS = {
     "status": _cmd_status,
     "fetch": _cmd_fetch,
     "cancel": _cmd_cancel,
-    "bench": _cmd_bench,
     "demo": _cmd_demo,
 }
 

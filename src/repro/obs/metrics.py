@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, log-bucket histograms, timers.
+"""Metrics registry: counters, gauges, log-bucket histograms.
 
 The registry is the numeric half of the telemetry subsystem (the trace
 recorder is the narrative half).  Components — the simulator event loop,
@@ -28,8 +28,7 @@ when one is installed, so experiment internals need no plumbing changes.
 from __future__ import annotations
 
 import bisect
-import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ObservabilityError
 
@@ -129,29 +128,6 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
-class Timer:
-    """Context manager that observes elapsed time into a histogram.
-
-    The clock is injectable: profiling uses ``time.perf_counter`` (the
-    default), while simulated-duration measurements pass a lambda over
-    ``sim.now`` so the observation stays deterministic.
-    """
-
-    __slots__ = ("histogram", "clock", "_started")
-
-    def __init__(self, histogram: Histogram, clock: Callable[[], float]) -> None:
-        self.histogram = histogram
-        self.clock = clock
-        self._started = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._started = self.clock()
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.histogram.observe(self.clock() - self._started)
-
-
 class MetricsRegistry:
     """Named metric instruments with get-or-create semantics."""
 
@@ -187,9 +163,6 @@ class MetricsRegistry:
             self._claim(name, self._histograms)
             self._histograms[name] = Histogram(name)
         return self._histograms[name]
-
-    def timer(self, name: str, clock: Callable[[], float] = time.perf_counter) -> Timer:
-        return Timer(self.histogram(name), clock)
 
     def namespaced(self, prefix: str) -> "NamespacedRegistry":
         """A view that prefixes every instrument name with ``<prefix>.``."""
@@ -252,11 +225,6 @@ class NamespacedRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._parent.histogram(self._qualify(name))
-
-    def timer(
-        self, name: str, clock: Callable[[], float] = time.perf_counter
-    ) -> Timer:
-        return self._parent.timer(self._qualify(name), clock)
 
     def namespaced(self, prefix: str) -> "NamespacedRegistry":
         return NamespacedRegistry(self._parent, self._qualify(prefix))

@@ -9,7 +9,6 @@ a test asserts directly.
 
 from __future__ import annotations
 
-import os
 import struct
 import threading
 from typing import Dict, List, Sequence, Tuple
@@ -37,20 +36,18 @@ _DIGEST_CACHE: Dict[tuple, Tuple[int, ...]] = {}
 
 _DIGEST_CACHE_MAX = 64
 
-#: Guards cache mutation under the thread executor backend (concurrent
-#: trials in one process); lookups stay lock-free.
+#: Guards cache mutation when one process runs trials concurrently (the
+#: job threads of ``repro serve`` running inline jobs); lookups stay
+#: lock-free.
 _DIGEST_CACHE_LOCK = threading.Lock()
 
-#: module-level (not per-registry) counters, exposed for the bench CLI.
+#: module-level (not per-registry) counters, read by the repo benchmark
+#: (``perfbench/``) for its boot-cache hit ratio.
 DIGEST_CACHE_STATS = {"hits": 0, "misses": 0, "rejected": 0}
 
 #: stride of the content fingerprint sample; 64 KiB over a ~12 MB image
 #: touches ~182 bytes.
 _FINGERPRINT_STRIDE = 1 << 16
-
-
-def _boot_cache_enabled() -> bool:
-    return not os.environ.get("REPRO_NO_BOOT_CACHE")
 
 
 def _image_fingerprint(image: KernelImage) -> Tuple[int, int, int]:
@@ -88,26 +85,16 @@ class AuthorizedHashStore:
         self._index_of: Dict[AreaSpan, int] = {}
 
     # ------------------------------------------------------------------
-    def compute_at_boot(
-        self, image: KernelImage, areas: Sequence[AreaSpan], cache: bool = True
-    ) -> None:
-        """Hash the pristine image per area and persist the digests.
-
-        ``cache=False`` (or ``REPRO_NO_BOOT_CACHE=1``) forces the full
-        per-area recompute regardless of the process-level digest cache.
-        """
+    def compute_at_boot(self, image: KernelImage, areas: Sequence[AreaSpan]) -> None:
+        """Hash the pristine image per area and persist the digests."""
         if len(areas) > self.capacity_entries:
             raise IntrospectionError(
                 f"{len(areas)} areas exceed table capacity {self.capacity_entries}"
             )
         self._spans = list(areas)
         self._index_of = {span: i for i, span in enumerate(self._spans)}
-        digests = None
-        key = None
-        use_cache = cache and _boot_cache_enabled()
-        if use_cache:
-            key = (_image_fingerprint(image), tuple(self._spans))
-            digests = _DIGEST_CACHE.get(key)
+        key = (_image_fingerprint(image), tuple(self._spans))
+        digests = _DIGEST_CACHE.get(key)
         if digests is not None and self._spans:
             # Trust but verify: re-hash the first and last spans live.
             for probe in {0, len(self._spans) - 1}:
@@ -117,19 +104,16 @@ class AuthorizedHashStore:
                     digests = None
                     break
         if digests is None:
-            if key is not None:
-                with _DIGEST_CACHE_LOCK:
-                    _DIGEST_CACHE.pop(key, None)
             digests = tuple(
                 djb2(image.view(offset, length, World.SECURE))
                 for offset, length in self._spans
             )
             DIGEST_CACHE_STATS["misses"] += 1
-            if use_cache:
-                with _DIGEST_CACHE_LOCK:
-                    if len(_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
-                        _DIGEST_CACHE.pop(next(iter(_DIGEST_CACHE)))
-                    _DIGEST_CACHE[key] = digests
+            with _DIGEST_CACHE_LOCK:
+                _DIGEST_CACHE.pop(key, None)
+                if len(_DIGEST_CACHE) >= _DIGEST_CACHE_MAX:
+                    _DIGEST_CACHE.pop(next(iter(_DIGEST_CACHE)))
+                _DIGEST_CACHE[key] = digests
         else:
             DIGEST_CACHE_STATS["hits"] += 1
         # The table bytes always land in secure SRAM: the simulated state is

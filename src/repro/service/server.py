@@ -469,14 +469,8 @@ class JobManager:
     # ------------------------------------------------------------------
 
     def _persist(self, job: JobState) -> None:
-        """Commit a job transition: journal first, then the job artifact."""
-        state = job.to_json()
-        self._journal.append(state)
-        directory = job_artifact_dir(self.cache_dir, job.job_id)
-        path = os.path.join(directory, "job.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, sort_keys=True, indent=1)
-            handle.write("\n")
+        """Commit a job transition to the journal, the durable job record."""
+        self._journal.append(job.to_json())
         self._journal.maybe_compact(self._job_table(), every=self.compact_every)
 
     def _write_artifact(self, job: JobState, name: str, text: str) -> None:

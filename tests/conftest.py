@@ -8,6 +8,9 @@ paper-calibrated absolute numbers use the full-size ``juno`` fixtures.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.config import (
@@ -22,6 +25,20 @@ from repro.kernel.os import RichOS, boot_rich_os
 
 #: 1/20th-size kernel used by the fast fixtures.
 SMALL_KERNEL_SIZE = PAPER_KERNEL_SIZE // 20
+
+#: Pinned host-independent values (event-order checksum, fused-scan
+#: timeline, seed-2019 E1/E9 table hashes); the repo benchmark reads the
+#: table hashes from the same file.
+EXPECTED_DETERMINISM = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "perf", "expected_determinism.json",
+)
+
+
+def expected_determinism() -> dict:
+    """The pinned values of :data:`EXPECTED_DETERMINISM`."""
+    with open(EXPECTED_DETERMINISM, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def small_config(seed: int = 1234, **satin_kwargs) -> MachineConfig:

@@ -1,5 +1,7 @@
 """Report generator and CLI tests."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -9,6 +11,7 @@ from repro.experiments.report import (
     run_experiment,
     spec_by_id,
 )
+from tests.conftest import expected_determinism
 
 
 def test_all_specs_have_unique_ids():
@@ -26,6 +29,14 @@ def test_spec_lookup_case_insensitive():
 def test_run_experiment_by_id():
     result = run_experiment("E7")
     assert result.values["s_bound"] == 1_218_351
+
+
+@pytest.mark.parametrize("experiment_id", ["E1", "E9"])
+def test_seed_2019_table_matches_pinned_hash(experiment_id):
+    rendered = run_experiment(experiment_id, seed=2019).rendered
+    digest = hashlib.sha256(rendered.encode()).hexdigest()
+    key = f"{experiment_id.lower()}_table_sha256"
+    assert digest == expected_determinism()[key], f"{experiment_id} table changed"
 
 
 def test_generate_report_subset():
@@ -68,6 +79,14 @@ def test_cli_report_to_file(tmp_path, capsys):
     target = tmp_path / "report.md"
     assert main(["report", "--only", "E7", "-o", str(target)]) == 0
     assert "# SATIN reproduction report" in target.read_text()
+
+
+def test_cli_has_no_bench_command(capsys):
+    # The repo benchmark lives in perfbench/; the old command is gone.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_cli_parser_requires_command():

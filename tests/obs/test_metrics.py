@@ -60,16 +60,6 @@ def test_histogram_observe_tracks_extrema_and_buckets():
     assert histogram.buckets[bucket_index(0.5)] == 2
 
 
-def test_timer_uses_injected_clock():
-    registry = MetricsRegistry()
-    ticks = iter([10.0, 12.5])
-    with registry.timer("t", clock=lambda: next(ticks)):
-        pass
-    histogram = registry.histogram("t")
-    assert histogram.count == 1
-    assert histogram.total == pytest.approx(2.5)
-
-
 def test_cross_type_name_collision_rejected():
     registry = MetricsRegistry()
     registry.counter("x")

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.errors import IntrospectionError, SecureAccessError
-from repro.hw.platform import SECURE_SRAM_BASE
+from repro.hw.platform import SECURE_SRAM_BASE, build_machine
 from repro.hw.world import World
-from repro.secure.boot import AuthorizedHashStore
+from repro.kernel import image as image_module
+from repro.kernel.os import boot_rich_os
+from repro.secure import boot as boot_module
+from repro.secure.boot import DIGEST_CACHE_STATS, AuthorizedHashStore
 from repro.secure.hashes import djb2
+from tests.conftest import small_config
 
 
 @pytest.fixture
@@ -65,3 +69,27 @@ def test_spans_enumeration(store_and_image):
     _, _, store, areas = store_and_image
     assert store.spans == areas
     assert len(store) == len(areas)
+
+
+def test_warm_build_reuses_digest_cache(monkeypatch):
+    # Empty process caches, so the first build is genuinely cold.
+    monkeypatch.setattr(boot_module, "_DIGEST_CACHE", {})
+    monkeypatch.setattr(image_module, "_CONTENT_CACHE", {})
+
+    def build_table():
+        machine = build_machine(small_config())
+        rich_os = boot_rich_os(machine)
+        store = AuthorizedHashStore(machine.memory, SECURE_SRAM_BASE)
+        areas = [(s.offset, s.size) for s in rich_os.image.system_map]
+        store.compute_at_boot(rich_os.image, areas)
+        return [store.expected_digest(span) for span in areas]
+
+    before = dict(DIGEST_CACHE_STATS)
+    cold = build_table()
+    assert DIGEST_CACHE_STATS["misses"] - before["misses"] == 1
+    assert DIGEST_CACHE_STATS["hits"] == before["hits"]
+    warm = build_table()
+    assert warm == cold, "cached boot digests diverged from the cold build"
+    assert DIGEST_CACHE_STATS["hits"] - before["hits"] == 1
+    assert DIGEST_CACHE_STATS["misses"] - before["misses"] == 1
+    assert DIGEST_CACHE_STATS["rejected"] == before["rejected"]

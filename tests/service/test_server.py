@@ -13,6 +13,7 @@ from repro.errors import BackpressureError, JobTransitionError, ServiceError
 from repro.obs.manifest import manifest_fingerprint
 from repro.service import client
 from repro.service.jobs import JobState
+from repro.service.journal import JobJournal
 from repro.service.server import JobManager, make_server
 
 SPEC = {"kind": "campaign", "target": "E7", "seeds": 2, "jobs": 0,
@@ -59,9 +60,11 @@ class TestJobManager:
             deadline = time.monotonic() + 60
             while not job.terminal and time.monotonic() < deadline:
                 time.sleep(0.05)
-            path = tmp_path / "jobs" / job.job_id / "job.json"
-            assert path.is_file()
-            persisted = JobState.from_json(json.loads(path.read_text()))
+            # the journal is the one durable job record; no per-job copy
+            assert not (tmp_path / "jobs" / job.job_id / "job.json").exists()
+            [state] = [j for j in JobJournal(str(tmp_path)).replay().jobs
+                       if j["job_id"] == job.job_id]
+            persisted = JobState.from_json(state)
             assert persisted.state == "done"
             assert persisted.digest == job.digest
         finally:
